@@ -261,7 +261,7 @@ func BenchmarkFig12bTaskRemoval(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, id := range job.Tasks {
-					if cl.Task(id).State == cluster.TaskRunning {
+					if t := cl.Task(id); t != nil && t.State == cluster.TaskRunning {
 						cl.Complete(id, time.Second)
 					}
 				}
@@ -317,7 +317,7 @@ func BenchmarkFig14PlacementLatency(b *testing.B) {
 		b.StopTimer()
 		// Keep utilization steady.
 		for _, id := range job.Tasks {
-			if cl.Task(id).State == cluster.TaskRunning {
+			if t := cl.Task(id); t != nil && t.State == cluster.TaskRunning {
 				cl.Complete(id, now)
 			}
 		}
@@ -720,7 +720,7 @@ func BenchmarkTemplateHitPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, tid := range job0.Tasks {
-			if cl.Task(tid).State == cluster.TaskRunning {
+			if t := cl.Task(tid); t != nil && t.State == cluster.TaskRunning {
 				cl.Complete(tid, 0)
 			}
 		}
@@ -738,7 +738,7 @@ func BenchmarkTemplateHitPath(b *testing.B) {
 			}
 			b.StopTimer()
 			for _, tid := range job.Tasks {
-				if cl.Task(tid).State == cluster.TaskRunning {
+				if t := cl.Task(tid); t != nil && t.State == cluster.TaskRunning {
 					cl.Complete(tid, now)
 				}
 			}

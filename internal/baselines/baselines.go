@@ -163,7 +163,8 @@ func (k *Kubernetes) sameJob(m *cluster.Machine, j cluster.JobID) int {
 		return 0
 	}
 	for _, id := range job.Tasks {
-		if task := k.cl.Task(id); task.State == cluster.TaskRunning && task.Machine == m.ID {
+		// Completed tasks are retired from the tables: skip their IDs.
+		if task := k.cl.Task(id); task != nil && task.State == cluster.TaskRunning && task.Machine == m.ID {
 			n++
 		}
 	}

@@ -9,6 +9,13 @@
 // time is supplied by the caller (the simulator or a real clock); the
 // cluster never reads a wall clock.
 //
+// The tables hold live work only. Complete retires the task's record, and
+// the job's record with its last task, leaving one completed-task counter
+// behind; a long-running cluster's memory, snapshots and table walks
+// therefore scale with the work in flight, not with uptime. Record
+// pointers a caller already holds stay readable after retirement (a
+// retired task reads TaskCompleted), but lookups by ID return nil.
+//
 // # Concurrency
 //
 // A Cluster is safe for concurrent use, and its front door scales with
@@ -68,8 +75,7 @@ type TaskState uint8
 const (
 	TaskPending TaskState = iota // submitted, waiting for placement
 	TaskRunning
-	TaskCompleted
-	TaskFailed
+	TaskCompleted // set on the record as Complete retires it
 )
 
 // String returns a short name for the state.
@@ -81,8 +87,6 @@ func (s TaskState) String() string {
 		return "running"
 	case TaskCompleted:
 		return "completed"
-	case TaskFailed:
-		return "failed"
 	default:
 		return "unknown"
 	}
@@ -122,7 +126,6 @@ type Task struct {
 	State       TaskState
 	SubmitTime  time.Duration
 	StartTime   time.Duration
-	FinishTime  time.Duration
 	Machine     MachineID // placement while running
 	Preemptions int
 }
@@ -133,8 +136,8 @@ type Job struct {
 	Class      JobClass
 	Priority   int
 	SubmitTime time.Duration
-	Tasks      []TaskID
-	remaining  int // tasks not yet completed
+	Tasks      []TaskID // every task of the job, retired ones included
+	remaining  int      // tasks not yet completed; the record retires at 0
 }
 
 // Machine is a schedulable host.
@@ -229,6 +232,7 @@ type Cluster struct {
 	numPending   atomic.Int64
 	numEvents    atomic.Int64
 	healthySlots atomic.Int64
+	numCompleted atomic.Int64 // tasks retired by Complete
 
 	// Machine occupancy and health. Acquired after a shard lock when both
 	// are needed (shard → machine order, everywhere).
@@ -358,7 +362,8 @@ func (c *Cluster) RackOf(id MachineID) RackID {
 	return m.Rack
 }
 
-// Task returns the task with the given ID, or nil.
+// Task returns the live task with the given ID, or nil if the ID is
+// unknown or the task has completed.
 func (c *Cluster) Task(id TaskID) *Task {
 	sh := c.taskShard(id)
 	sh.mu.RLock()
@@ -366,7 +371,8 @@ func (c *Cluster) Task(id TaskID) *Task {
 	return sh.tasks[id]
 }
 
-// Job returns the job with the given ID, or nil.
+// Job returns the live job with the given ID, or nil if the ID is unknown
+// or every task of the job has completed.
 func (c *Cluster) Job(id JobID) *Job {
 	sh := c.jobShard(id)
 	sh.mu.RLock()
@@ -374,7 +380,7 @@ func (c *Cluster) Job(id JobID) *Job {
 	return sh.jobs[id]
 }
 
-// Jobs calls fn for every job via per-shard traversal; fn must not call
+// Jobs calls fn for every live job via per-shard traversal; fn must not call
 // mutating cluster methods. Iteration order is unspecified, and the
 // snapshot is consistent per shard, not across shards.
 func (c *Cluster) Jobs(fn func(*Job)) {
@@ -581,7 +587,9 @@ func (c *Cluster) Preempt(id TaskID, now time.Duration) error {
 }
 
 // Complete marks a running task finished, freeing its slot and emitting
-// EventTaskCompleted.
+// EventTaskCompleted, and retires its record: the task leaves the tables
+// and the completed counter takes its place. The job's record retires with
+// its last task, so Job(id) == nil after Complete means the job is done.
 func (c *Cluster) Complete(id TaskID, now time.Duration) error {
 	sh := c.taskShard(id)
 	sh.mu.Lock()
@@ -593,25 +601,22 @@ func (c *Cluster) Complete(id TaskID, now time.Duration) error {
 	m := t.Machine
 	c.detach(t)
 	t.State = TaskCompleted
-	t.FinishTime = now
 	t.Machine = InvalidMachine
-	sh.jobs[t.Job].remaining-- // job lives in the task's shard
+	delete(sh.tasks, id)
+	job := sh.jobs[t.Job] // job lives in the task's shard
+	if job.remaining--; job.remaining == 0 {
+		delete(sh.jobs, t.Job)
+	}
 	sh.events = append(sh.events, Event{Kind: EventTaskCompleted, Task: id, Machine: m, Time: now})
 	c.numEvents.Add(1)
+	c.numCompleted.Add(1)
 	sh.mu.Unlock()
 	return nil
 }
 
-// JobDone reports whether all tasks of the job have completed. An unknown
-// job is not done: remote clients can probe arbitrary IDs, so the lookup
-// must answer rather than panic.
-func (c *Cluster) JobDone(id JobID) bool {
-	sh := c.jobShard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	j, ok := sh.jobs[id]
-	return ok && j.remaining == 0
-}
+// NumCompleted returns the number of tasks Complete has retired (an
+// atomic counter read).
+func (c *Cluster) NumCompleted() int { return int(c.numCompleted.Load()) }
 
 // RemoveMachine marks a machine unhealthy and evicts its tasks back to
 // pending, emitting EventMachineRemoved plus one EventTaskEvicted per task.

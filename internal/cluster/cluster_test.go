@@ -60,11 +60,14 @@ func TestTaskLifecycle(t *testing.T) {
 	if err := c.Complete(id, 16*time.Second); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
-	if task.State != TaskCompleted || task.FinishTime != 16*time.Second || task.Machine != InvalidMachine {
+	if task.State != TaskCompleted || task.Machine != InvalidMachine {
 		t.Fatalf("task after complete: %+v", task)
 	}
-	if c.JobDone(job.ID) {
-		t.Fatal("job done with one task still pending")
+	if c.Task(id) != nil || c.NumCompleted() != 1 {
+		t.Fatalf("completed task still in the tables (completed counter %d)", c.NumCompleted())
+	}
+	if c.Job(job.ID) == nil {
+		t.Fatal("job retired with one task still pending")
 	}
 	ev = c.DrainEvents()
 	if len(ev) != 1 || ev[0].Kind != EventTaskCompleted || ev[0].Machine != 2 {
@@ -160,18 +163,54 @@ func TestSlotUtilization(t *testing.T) {
 	}
 }
 
+// TestJobDone pins retirement: each completion removes the task's record,
+// the last one removes the job's, and what the tables lose the completed
+// counter keeps. Pointers handed out earlier stay readable.
 func TestJobDone(t *testing.T) {
 	c := New(testTopo())
 	job := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}, {}})
+	other := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}})
 	c.Place(job.Tasks[0], 0, 0)
 	c.Place(job.Tasks[1], 1, 0)
-	c.Complete(job.Tasks[0], time.Second)
-	if c.JobDone(job.ID) {
-		t.Fatal("JobDone early")
+	first := c.Task(job.Tasks[0])
+	if err := c.Complete(job.Tasks[0], time.Second); err != nil {
+		t.Fatal(err)
 	}
-	c.Complete(job.Tasks[1], 2*time.Second)
-	if !c.JobDone(job.ID) {
-		t.Fatal("JobDone not reported")
+	if c.Job(job.ID) == nil {
+		t.Fatal("job retired with a task still running")
+	}
+	if c.Task(job.Tasks[0]) != nil || c.Task(job.Tasks[1]) == nil {
+		t.Fatal("completion retired the wrong task record")
+	}
+	if first.State != TaskCompleted {
+		t.Fatalf("held record reads %s after completion, want completed", first.State)
+	}
+	if err := c.Complete(job.Tasks[1], 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if c.Job(job.ID) != nil || c.Task(job.Tasks[1]) != nil {
+		t.Fatal("finished job still in the tables")
+	}
+	if c.Job(other.ID) == nil {
+		t.Fatal("retirement removed an unrelated job")
+	}
+	jobs := 0
+	c.Jobs(func(*Job) { jobs++ })
+	if jobs != 1 {
+		t.Fatalf("Jobs visits %d jobs, want 1 (the unfinished one)", jobs)
+	}
+	if p, r, done := c.CountStates(); p != 1 || r != 0 || done != 2 {
+		t.Fatalf("CountStates = %d/%d/%d, want 1/0/2", p, r, done)
+	}
+	if len(job.Tasks) != 2 {
+		t.Fatalf("held job record lost its task list: %v", job.Tasks)
+	}
+	// A second completion of a retired task is stale, not a double count.
+	if err := c.Complete(job.Tasks[1], 3*time.Second); err == nil {
+		t.Fatal("completion of a retired task succeeded")
+	}
+	if c.NumCompleted() != 2 {
+		t.Fatalf("NumCompleted = %d, want 2", c.NumCompleted())
 	}
 }
 
@@ -413,9 +452,6 @@ func TestUnknownIDAccessors(t *testing.T) {
 			{"Task(unknown job)", c.Task(taskID(9999, 0)) == nil, true},
 			{"Task(unknown index)", c.Task(taskID(job.ID, 99)) == nil, true},
 			{"Task(negative)", c.Task(-1) == nil, true},
-			{"JobDone(unknown)", c.JobDone(4242), false},
-			{"JobDone(negative)", c.JobDone(-1), false},
-			{"JobDone(known, unfinished)", c.JobDone(job.ID), false},
 			{"Machine(out of range)", c.Machine(MachineID(c.NumMachines())) == nil, true},
 			{"Machine(negative)", c.Machine(-3) == nil, true},
 			{"RackOf(unknown)", c.RackOf(999), RackID(-1)},

@@ -9,14 +9,24 @@ import (
 )
 
 // This file is the durable representation of a Cluster: a deterministic
-// binary snapshot of the full job/task/machine tables (including the
-// undrained per-shard event journals) and the per-event codec used by the
-// service's write-ahead journal. Both use the fixed-width little-endian
-// wal.Enc/wal.Dec encoding so identical state always produces identical
-// bytes — the crash-recovery differential tests fingerprint the encoding
-// directly.
+// binary snapshot of the live job/task tables, the completed-task counter,
+// machine health and the undrained per-shard event journals, plus the
+// per-event codec used by the service's write-ahead journal. Both use the
+// fixed-width little-endian wal.Enc/wal.Dec encoding so identical state
+// always produces identical bytes — the crash-recovery differential tests
+// fingerprint the encoding directly.
+//
+// snapVersion 2 carries live records only: a job is written with its task
+// count and its live tasks, and completed tasks survive as the counter.
+// Version-1 snapshots (which kept every completed record) still decode:
+// their completed records fold into the counter and their finished jobs
+// are dropped, yielding the state a version-2 cluster would hold. The
+// decoder reports the dropped jobs so the caller can keep them retired.
+const snapVersion = 2
 
-const snapVersion = 1
+// maxSnapshotJobTasks bounds the task count a decoded job may claim, so a
+// corrupt snapshot cannot demand an arbitrarily large task-ID list.
+const maxSnapshotJobTasks = 1 << 24
 
 // EncodeEvent appends the wire form of one cluster event.
 //
@@ -72,13 +82,15 @@ func encodeTask(e *wal.Enc, t *Task) {
 	e.U8(uint8(t.State))
 	e.Dur(t.SubmitTime)
 	e.Dur(t.StartTime)
-	e.Dur(t.FinishTime)
 	e.I64(int64(t.Machine))
 	e.I64(int64(t.Preemptions))
 }
 
+// decodeTask reads one task written by encodeTask, or by its version-1
+// form, which also carried a finish time.
+//
 //firmament:deterministic
-func decodeTask(d *wal.Dec) *Task {
+func decodeTask(d *wal.Dec, version uint32) *Task {
 	t := &Task{}
 	t.ID = TaskID(d.I64())
 	t.Job = JobOfTask(t.ID)
@@ -90,13 +102,15 @@ func decodeTask(d *wal.Dec) *Task {
 	t.State = TaskState(d.U8())
 	t.SubmitTime = d.Dur()
 	t.StartTime = d.Dur()
-	t.FinishTime = d.Dur()
+	if version == 1 {
+		d.Dur() // finish time, set only on completed records
+	}
 	t.Machine = MachineID(d.I64())
 	t.Preemptions = int(d.I64())
 	return t
 }
 
-// EncodeSnapshot serialises the complete cluster state. The caller must
+// EncodeSnapshot serialises the cluster state. The caller must
 // guarantee quiescence (no concurrent mutators) — in the service this runs
 // on the scheduling goroutine between rounds. Iteration is in sorted ID
 // order throughout so identical state yields identical bytes.
@@ -110,6 +124,7 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 	e.I64(c.topo.NICBps)
 	e.U32(uint32(len(c.shards)))
 	e.I64(int64(c.nextJob.Load()))
+	e.I64(c.numCompleted.Load())
 
 	// Machine health. Occupancy and reserved bandwidth are rebuilt from
 	// the running tasks on decode.
@@ -120,7 +135,9 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 	}
 	c.machMu.RUnlock()
 
-	// Jobs and tasks, shard by shard, sorted by ID within each shard.
+	// Live jobs and tasks, shard by shard, sorted by ID within each shard.
+	// A job's task IDs are implied by its task count; only the records of
+	// its live tasks (exactly the remaining ones) are written.
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		jobIDs := make([]JobID, 0, len(sh.jobs))
@@ -135,10 +152,12 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 			e.U8(uint8(j.Class))
 			e.I64(int64(j.Priority))
 			e.Dur(j.SubmitTime)
-			e.I64(int64(j.remaining))
 			e.U32(uint32(len(j.Tasks)))
+			e.U32(uint32(j.remaining))
 			for _, tid := range j.Tasks {
-				encodeTask(e, sh.tasks[tid])
+				if t := sh.tasks[tid]; t != nil {
+					encodeTask(e, t)
+				}
 			}
 		}
 		// Undrained event journal: a fuzzy snapshot may capture a job whose
@@ -152,12 +171,15 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 	}
 }
 
-// DecodeSnapshot rebuilds a Cluster from EncodeSnapshot bytes.
+// DecodeSnapshot rebuilds a Cluster from EncodeSnapshot bytes of either
+// version. retired lists, in decode order, the finished jobs a version-1
+// snapshot still held and the decode dropped; it is empty for version 2.
 //
 //firmament:deterministic
-func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
-	if v := d.U32(); v != snapVersion {
-		return nil, fmt.Errorf("cluster: snapshot version %d (want %d)", v, snapVersion)
+func DecodeSnapshot(d *wal.Dec) (c *Cluster, retired []JobID, err error) {
+	v := d.U32()
+	if v != 1 && v != snapVersion {
+		return nil, nil, fmt.Errorf("cluster: snapshot version %d (want <= %d)", v, snapVersion)
 	}
 	topo := Topology{
 		Racks:           int(d.I64()),
@@ -167,18 +189,22 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 	}
 	shards := int(d.U32())
 	nextJob := d.I64()
-	if err := d.Err(); err != nil {
-		return nil, err
+	var completed int64
+	if v >= 2 {
+		completed = d.I64()
 	}
-	c := NewSharded(topo, shards)
+	if err := d.Err(); err != nil {
+		return nil, nil, err
+	}
+	c = NewSharded(topo, shards)
 	if len(c.shards) != shards {
-		return nil, fmt.Errorf("cluster: snapshot shard count %d is not a power of two", shards)
+		return nil, nil, fmt.Errorf("cluster: snapshot shard count %d is not a power of two", shards)
 	}
 	c.nextJob.Store(int32(nextJob))
 
 	nm := int(d.U32())
 	if nm != len(c.machines) {
-		return nil, fmt.Errorf("cluster: snapshot has %d machines, topology builds %d", nm, len(c.machines))
+		return nil, nil, fmt.Errorf("cluster: snapshot has %d machines, topology builds %d", nm, len(c.machines))
 	}
 	for _, m := range c.machines {
 		if healthy := d.Bool(); !healthy {
@@ -195,17 +221,32 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 				Class:      JobClass(d.U8()),
 				Priority:   int(d.I64()),
 				SubmitTime: d.Dur(),
-				remaining:  int(d.I64()),
 			}
-			nt := d.Len(8)
-			job.Tasks = make([]TaskID, 0, nt)
-			for k := 0; k < nt; k++ {
-				t := decodeTask(d)
-				if d.Err() != nil {
-					return nil, d.Err()
+			var nt, nrec int
+			if v == 1 {
+				d.I64() // remaining: recounted from the live records below
+				nt = d.Len(8)
+				nrec = nt // every record, completed ones included
+			} else {
+				// The task count is not bounded by the bytes that follow
+				// (retired tasks write nothing), so cap it explicitly.
+				if nt = d.Len(0); nt > maxSnapshotJobTasks {
+					return nil, nil, fmt.Errorf("cluster: snapshot job %d claims %d tasks", job.ID, nt)
 				}
-				job.Tasks = append(job.Tasks, t.ID)
-				sh.tasks[t.ID] = t
+				nrec = d.Len(8)
+			}
+			job.Tasks = make([]TaskID, nt)
+			for k := range job.Tasks {
+				job.Tasks[k] = taskID(job.ID, k)
+			}
+			for k := 0; k < nrec; k++ {
+				t := decodeTask(d, v)
+				if d.Err() != nil {
+					return nil, nil, d.Err()
+				}
+				if t.Job != job.ID || t.Index >= nt {
+					return nil, nil, fmt.Errorf("cluster: task %d filed under job %d of %d tasks", t.ID, job.ID, nt)
+				}
 				switch t.State {
 				case TaskPending:
 					sh.pending[t.ID] = struct{}{}
@@ -213,13 +254,26 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 				case TaskRunning:
 					m := c.Machine(t.Machine)
 					if m == nil {
-						return nil, fmt.Errorf("cluster: task %d running on unknown machine %d", t.ID, t.Machine)
+						return nil, nil, fmt.Errorf("cluster: task %d running on unknown machine %d", t.ID, t.Machine)
 					}
 					m.running[t.ID] = struct{}{}
 					m.reserved += t.NetDemand
+				default:
+					if v >= 2 {
+						return nil, nil, fmt.Errorf("cluster: snapshot task %d in state %s", t.ID, t.State)
+					}
+					completed++ // a version-1 completed record: count it, drop it
+					continue
 				}
+				sh.tasks[t.ID] = t
+				job.remaining++
 			}
-			sh.jobs[job.ID] = job
+			// A job retires with its last task (a task-less job never does).
+			if job.remaining > 0 || nt == 0 {
+				sh.jobs[job.ID] = job
+			} else {
+				retired = append(retired, job.ID)
+			}
 		}
 		ne := d.Len(8)
 		for k := 0; k < ne; k++ {
@@ -228,9 +282,10 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 		c.numEvents.Add(int64(ne))
 	}
 	if err := d.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c, nil
+	c.numCompleted.Store(completed)
+	return c, retired, nil
 }
 
 // Fingerprint hashes the canonical snapshot encoding. Two clusters with
@@ -247,12 +302,13 @@ func (c *Cluster) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// CountStates tallies tasks by lifecycle state across all shards — the
-// restore path's accounting self-check compares these totals against the
-// journal-derived counters.
+// CountStates tallies the live task records by lifecycle state across all
+// shards and reports the completed-task counter beside them — every task
+// ever submitted is counted exactly once. The restore path recomputes the
+// submission counter from these totals.
 //
 //firmament:deterministic
-func (c *Cluster) CountStates() (pending, running, completed, failed int) {
+func (c *Cluster) CountStates() (pending, running, completed int) {
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		// Sorted-ID iteration: the tallies are order-insensitive today, but
@@ -269,13 +325,9 @@ func (c *Cluster) CountStates() (pending, running, completed, failed int) {
 				pending++
 			case TaskRunning:
 				running++
-			case TaskCompleted:
-				completed++
-			case TaskFailed:
-				failed++
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return
+	return pending, running, c.NumCompleted()
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,12 +11,27 @@ import (
 
 // buildMessyCluster drives a cluster through a random lifecycle so the
 // snapshot has pending, running and completed tasks, unhealthy machines,
-// and undrained events.
-func buildMessyCluster(t *testing.T, seed int64) *Cluster {
+// and undrained events. It also returns every job and task record it
+// handed out, retired ones included (they stay readable after Complete).
+func buildMessyCluster(t *testing.T, seed int64) (*Cluster, []*Job, map[TaskID]*Task) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	c := NewSharded(Topology{Racks: 3, MachinesPerRack: 4, SlotsPerMachine: 4}, 4)
+	var jobs []*Job
+	tasks := make(map[TaskID]*Task)
 	var running []TaskID
+	// One job runs to completion outright, so a finished job retires.
+	done := c.SubmitJob(Batch, 0, 0, make([]TaskSpec, 2))
+	jobs = append(jobs, done)
+	for i, tid := range done.Tasks {
+		tasks[tid] = c.Task(tid)
+		if err := c.Place(tid, MachineID(i), time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Complete(tid, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 20; i++ {
 		n := 1 + rng.Intn(4)
 		specs := make([]TaskSpec, n)
@@ -28,7 +44,9 @@ func buildMessyCluster(t *testing.T, seed int64) *Cluster {
 			}
 		}
 		j := c.SubmitJob(JobClass(rng.Intn(2)), rng.Intn(3), time.Duration(i)*time.Second, specs)
+		jobs = append(jobs, j)
 		for _, tid := range j.Tasks {
+			tasks[tid] = c.Task(tid)
 			if rng.Intn(3) == 0 {
 				continue // leave pending
 			}
@@ -50,18 +68,131 @@ func buildMessyCluster(t *testing.T, seed int64) *Cluster {
 	c.RemoveMachine(2, 40*time.Second)
 	c.RemoveMachine(7, 41*time.Second)
 	c.RestoreMachine(2, 42*time.Second)
-	return c
+	return c, jobs, tasks
+}
+
+// encodeSnapshotV1 writes c in the version-1 layout, which kept every
+// completed task and finished job in the tables. The live cluster retired
+// those records, so they come from the handles the build kept (jobs in
+// submission order, which lands each shard's jobs in sorted ID order).
+func encodeSnapshotV1(e *wal.Enc, c *Cluster, jobs []*Job, tasks map[TaskID]*Task) {
+	e.U32(1)
+	e.I64(int64(c.topo.Racks))
+	e.I64(int64(c.topo.MachinesPerRack))
+	e.I64(int64(c.topo.SlotsPerMachine))
+	e.I64(c.topo.NICBps)
+	e.U32(uint32(len(c.shards)))
+	e.I64(int64(c.nextJob.Load()))
+	e.U32(uint32(len(c.machines)))
+	for _, m := range c.machines {
+		e.Bool(m.healthy)
+	}
+	for i, sh := range c.shards {
+		var mine []*Job
+		for _, j := range jobs {
+			if int64(j.ID)&c.shardMask == int64(i) {
+				mine = append(mine, j)
+			}
+		}
+		e.U32(uint32(len(mine)))
+		for _, j := range mine {
+			e.I64(int64(j.ID))
+			e.U8(uint8(j.Class))
+			e.I64(int64(j.Priority))
+			e.Dur(j.SubmitTime)
+			e.I64(int64(j.remaining))
+			e.U32(uint32(len(j.Tasks)))
+			for _, tid := range j.Tasks {
+				t := tasks[tid]
+				e.I64(int64(t.ID))
+				e.Dur(t.Duration)
+				e.I64(t.InputFile)
+				e.I64(t.InputSize)
+				e.I64(t.NetDemand)
+				e.U8(uint8(t.State))
+				e.Dur(t.SubmitTime)
+				e.Dur(t.StartTime)
+				e.Dur(30 * time.Second) // finish time
+				e.I64(int64(t.Machine))
+				e.I64(int64(t.Preemptions))
+			}
+		}
+		e.U32(uint32(len(sh.events)))
+		for _, ev := range sh.events {
+			EncodeEvent(e, ev)
+		}
+	}
+}
+
+// TestSnapshotV1Decodes restores version-1 snapshots, completed records
+// and all: the completed records must fold into the counter and finished
+// jobs must vanish, leaving exactly the state the live (version-2) cluster
+// holds — same fingerprint, same tallies.
+func TestSnapshotV1Decodes(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		c, jobs, tasks := buildMessyCluster(t, seed)
+		var e wal.Enc
+		encodeSnapshotV1(&e, c, jobs, tasks)
+		d := wal.NewDec(e.B)
+		c1, retired, err := DecodeSnapshot(d)
+		if err != nil {
+			t.Fatalf("seed %d: DecodeSnapshot(v1): %v", seed, err)
+		}
+		if d.Remaining() != 0 {
+			t.Fatalf("seed %d: %d undecoded bytes", seed, d.Remaining())
+		}
+		completed := 0
+		var finished []JobID
+		for _, j := range jobs {
+			if j.remaining == 0 {
+				finished = append(finished, j.ID)
+			}
+			for _, tid := range j.Tasks {
+				if tasks[tid].State == TaskCompleted {
+					completed++
+				}
+			}
+		}
+		if completed == 0 || len(finished) == 0 {
+			t.Fatalf("seed %d: v1 image holds %d completed tasks and %d finished jobs; want both", seed, completed, len(finished))
+		}
+		slices.Sort(retired)
+		if !slices.Equal(retired, finished) {
+			t.Fatalf("seed %d: decode reports retired jobs %v, the image's finished jobs are %v", seed, retired, finished)
+		}
+		p1, r1, d1 := c.CountStates()
+		p2, r2, d2 := c1.CountStates()
+		if p1 != p2 || r1 != r2 || d1 != d2 || d2 != completed {
+			t.Fatalf("seed %d: tallies (%d %d %d) from v1, live (%d %d %d), %d completed records",
+				seed, p2, r2, d2, p1, r1, d1, completed)
+		}
+		if c1.NumPending() != c.NumPending() || c1.NumRunning() != c.NumRunning() {
+			t.Fatalf("seed %d: aggregates pending %d/%d running %d/%d", seed,
+				c1.NumPending(), c.NumPending(), c1.NumRunning(), c.NumRunning())
+		}
+		for _, j := range jobs {
+			if (c1.Job(j.ID) == nil) != (j.remaining == 0) {
+				t.Fatalf("seed %d: job %d (remaining %d) restored=%v", seed, j.ID, j.remaining, c1.Job(j.ID) != nil)
+			}
+		}
+		if c1.Fingerprint() != c.Fingerprint() {
+			t.Fatalf("seed %d: v1 restore differs from the live cluster", seed)
+		}
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		c := buildMessyCluster(t, seed)
+		c, _, _ := buildMessyCluster(t, seed)
 		var e wal.Enc
 		c.EncodeSnapshot(&e)
 		d := wal.NewDec(e.B)
-		c2, err := DecodeSnapshot(d)
+		c2, retired, err := DecodeSnapshot(d)
 		if err != nil {
 			t.Fatalf("seed %d: DecodeSnapshot: %v", seed, err)
+		}
+		if len(retired) != 0 {
+			t.Fatalf("seed %d: version-2 decode reports retired jobs %v", seed, retired)
 		}
 		if d.Remaining() != 0 {
 			t.Fatalf("seed %d: %d undecoded bytes", seed, d.Remaining())
@@ -82,10 +213,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if c.NumQueuedEvents() != c2.NumQueuedEvents() {
 			t.Fatalf("events %d != %d", c.NumQueuedEvents(), c2.NumQueuedEvents())
 		}
-		p1, r1, d1, f1 := c.CountStates()
-		p2, r2, d2, f2 := c2.CountStates()
-		if p1 != p2 || r1 != r2 || d1 != d2 || f1 != f2 {
-			t.Fatalf("state tally mismatch: (%d %d %d %d) != (%d %d %d %d)", p1, r1, d1, f1, p2, r2, d2, f2)
+		p1, r1, d1 := c.CountStates()
+		p2, r2, d2 := c2.CountStates()
+		if p1 != p2 || r1 != r2 || d1 != d2 {
+			t.Fatalf("state tally mismatch: (%d %d %d) != (%d %d %d)", p1, r1, d1, p2, r2, d2)
+		}
+		if d1 == 0 {
+			t.Fatalf("seed %d: messy cluster completed nothing", seed)
 		}
 		// The decoded cluster must keep working: place a pending task,
 		// submit a new job (allocator must be past every restored ID).

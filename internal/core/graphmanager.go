@@ -187,15 +187,15 @@ func (gm *GraphManager) addTask(id cluster.TaskID) {
 	if _, ok := gm.taskNode[id]; ok {
 		return
 	}
-	t := gm.cl.Task(id)
+	job := cluster.JobOfTask(id)
 	n := gm.g.AddNode(1, flow.KindTask)
 	gm.taskNode[id] = n
 	gm.nodeTask[n] = id
 	gm.taskArcs[id] = make(map[policy.ArcTarget]flow.ArcID)
-	un := gm.ensureUnsched(t.Job)
+	un := gm.ensureUnsched(job)
 	gm.taskUnschedArc[id] = gm.g.AddArc(n, un, 1, 0)
-	gm.jobAlive[t.Job]++
-	gm.g.SetArcCapacity(gm.unschedSink[t.Job], gm.jobAlive[t.Job])
+	gm.jobAlive[job]++
+	gm.g.SetArcCapacity(gm.unschedSink[job], gm.jobAlive[job])
 	gm.numTasks++
 	gm.g.SetSupply(gm.sink, -gm.numTasks)
 	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
@@ -210,7 +210,9 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	if gm.TaskRemovalHeuristic {
 		gm.drainTaskFlow(n)
 	}
-	t := gm.cl.Task(id)
+	// The cluster retired the task's record at completion; its job is
+	// encoded in the ID.
+	job := cluster.JobOfTask(id)
 	gm.g.RemoveNode(n)
 	delete(gm.taskNode, id)
 	delete(gm.nodeTask, n)
@@ -221,18 +223,18 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
 	gm.changes.Record(flow.Change{Kind: flow.ChangeSupply, Node: gm.sink})
 
-	gm.jobAlive[t.Job]--
-	if gm.jobAlive[t.Job] <= 0 {
+	gm.jobAlive[job]--
+	if gm.jobAlive[job] <= 0 {
 		// Last task of the job: retire its unscheduled aggregator.
-		if un, ok := gm.unschedNode[t.Job]; ok {
+		if un, ok := gm.unschedNode[job]; ok {
 			gm.g.RemoveNode(un)
 			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: un})
 		}
-		delete(gm.unschedNode, t.Job)
-		delete(gm.unschedSink, t.Job)
-		delete(gm.jobAlive, t.Job)
+		delete(gm.unschedNode, job)
+		delete(gm.unschedSink, job)
+		delete(gm.jobAlive, job)
 	} else {
-		gm.g.SetArcCapacity(gm.unschedSink[t.Job], gm.jobAlive[t.Job])
+		gm.g.SetArcCapacity(gm.unschedSink[job], gm.jobAlive[job])
 	}
 }
 

@@ -212,7 +212,8 @@ func churn(cl *cluster.Cluster, store *storage.Store, rng *rand.Rand, now time.D
 			if len(picks) >= completions {
 				return
 			}
-			if t := cl.Task(id); t.State == cluster.TaskRunning && rng.Intn(3) == 0 {
+			// Completed tasks are retired from the tables: skip their IDs.
+			if t := cl.Task(id); t != nil && t.State == cluster.TaskRunning && rng.Intn(3) == 0 {
 				picks = append(picks, id)
 			}
 		}

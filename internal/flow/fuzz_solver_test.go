@@ -134,10 +134,10 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 // mutated graph and that every produced flow is feasible and optimal — the
 // Table 1 invariant under arbitrary fuzzer-chosen change sequences.
 func FuzzSolverChanges(f *testing.F) {
-	f.Add([]byte{})                                                  // minimal graph, no changes
-	f.Add([]byte{1, 0, 4, 2, 1, 7, 0, 30, 3})                        // cost changes
-	f.Add([]byte{3, 1, 8, 1, 2, 0, 9, 1, 1, 2, 20, 3, 90})           // arrivals
-	f.Add([]byte{0, 2, 6, 2, 0, 1, 5, 2, 2, 0, 2, 1, 2, 3, 2, 2})    // slot churn
+	f.Add([]byte{})                                               // minimal graph, no changes
+	f.Add([]byte{1, 0, 4, 2, 1, 7, 0, 30, 3})                     // cost changes
+	f.Add([]byte{3, 1, 8, 1, 2, 0, 9, 1, 1, 2, 20, 3, 90})        // arrivals
+	f.Add([]byte{0, 2, 6, 2, 0, 1, 5, 2, 2, 0, 2, 1, 2, 3, 2, 2}) // slot churn
 	f.Add([]byte{4, 2, 11, 1, 1, 15, 0, 44, 2, 1, 9, 0, 70, 1, 1,
 		33, 2, 2, 2, 0, 12, 1, 3, 80, 2, 1, 1, 0, 5}) // mixed batches
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -336,7 +336,10 @@ func TestWALRearmRequiresWriteProbe(t *testing.T) {
 // disk mid-run, waits for re-arm, crashes, and restores. The invariant under
 // every schedule: no acknowledged submit is ever lost (after a successful
 // re-arm even the volatile window is durable), and the service always comes
-// back to ok.
+// back to ok. Completion retires a finished job's record, so "not lost"
+// reads: every acknowledged job is live after restore unless every one of
+// its tasks had an acknowledged completion, and the restored completion
+// count equals the acknowledged completions.
 func TestWALFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -376,7 +379,7 @@ func TestWALFaultMatrix(t *testing.T) {
 			dir := t.TempDir()
 			s, _ := manualFaulty(t, dir, &clock, faultDur(ffs, WALDegrade))
 
-			var jobs []cluster.JobID
+			var jobs []*cluster.Job
 			var firstTasks []cluster.TaskID
 			submit := func(n int) {
 				t.Helper()
@@ -385,9 +388,10 @@ func TestWALFaultMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Submit: %v", err)
 				}
-				jobs = append(jobs, job.ID)
+				jobs = append(jobs, job)
 				firstTasks = append(firstTasks, job.Tasks...)
 			}
+			ackedDone := make(map[cluster.TaskID]bool)
 			round := func() {
 				t.Helper()
 				clock += time.Millisecond
@@ -414,6 +418,7 @@ func TestWALFaultMatrix(t *testing.T) {
 				if err := s.Complete(firstTasks[i]); err != nil {
 					t.Fatalf("Complete: %v", err)
 				}
+				ackedDone[firstTasks[i]] = true
 				round()
 			}
 			if tc.wantRetryOnly {
@@ -440,11 +445,25 @@ func TestWALFaultMatrix(t *testing.T) {
 			round()
 
 			a2, _ := manualDurable(t, dir, &clock)
-			for _, id := range jobs {
-				if a2.cl.Job(id) == nil {
-					t.Fatalf("job %d lost (schedule degraded=%v, %d faults fired)",
-						id, degraded, ffs.Fired())
+			retired := 0
+			for _, job := range jobs {
+				if a2.cl.Job(job.ID) != nil {
+					continue
 				}
+				for _, tid := range job.Tasks {
+					if !ackedDone[tid] {
+						t.Fatalf("job %d lost: task %d was never acknowledged complete (schedule degraded=%v, %d faults fired)",
+							job.ID, tid, degraded, ffs.Fired())
+					}
+				}
+				retired++
+			}
+			if retired == 0 {
+				t.Fatal("no acknowledged job finished; the retirement path went unexercised")
+			}
+			if got := a2.Stats().Completed; got != int64(len(ackedDone)) {
+				t.Fatalf("restored Completed = %d, want %d acknowledged completions (schedule degraded=%v)",
+					got, len(ackedDone), degraded)
 			}
 			clock += time.Millisecond
 			if _, err := a2.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 1)); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,8 +117,11 @@ type RestoreInfo struct {
 
 // snapMetaVersion 2 added the template counters to the meta section and a
 // fourth snapshot section carrying the template cache; version-1 snapshots
-// (pre-template) still restore, with an empty cache.
-const snapMetaVersion = 2
+// (pre-template) still restore, with an empty cache. Version 3 appends the
+// retired-job tombstones to the meta section. Older snapshots carry none,
+// but their (version-1) cluster sections still hold the finished jobs,
+// which the cluster decode drops and reports; restore tombstones those.
+const snapMetaVersion = 3
 
 // Open builds a durable service: it opens (or creates) the write-ahead
 // journal in opts.Durability.Dir, restores the latest snapshot if one
@@ -179,6 +183,7 @@ func Replay(opts Options) (*Service, *RestoreInfo, error) {
 	// loop starts so nothing can append, and drop the event tap so rounds
 	// stop accumulating batch copies nobody will journal.
 	s.jrn = nil
+	s.tombs = nil
 	s.sched.GraphManager().EventTap = nil
 	s.roundBatches = nil
 	if err := log.Close(); err != nil {
@@ -196,7 +201,7 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 	r, lw, closeSnap, err := log.LatestSnapshot()
 	switch {
 	case err == nil:
-		s, lastNow, err = restoreSnapshot(opts, r)
+		s, lastNow, err = restoreSnapshot(opts, r, log.LastSeq())
 		closeSnap()
 		if err != nil {
 			return nil, nil, err
@@ -228,15 +233,17 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 
 // restoreSnapshot decodes the three snapshot sections — service meta,
 // cluster tables, scheduler (flow network + entity maps + solver scale) —
-// and rebuilds a stopped service around them.
-func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error) {
+// and rebuilds a stopped service around them. tail is the log's last
+// sequence number, the tombstone mark for finished jobs an old-format
+// cluster section drops.
+func restoreSnapshot(opts Options, r io.Reader, tail uint64) (*Service, time.Duration, error) {
 	meta, err := wal.ReadSection(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
 	}
 	md := wal.NewDec(meta)
 	v := md.U32()
-	if v != 1 && v != snapMetaVersion {
+	if v < 1 || v > snapMetaVersion {
 		return nil, 0, fmt.Errorf("service: snapshot meta version %d (want <= %d)", v, snapMetaVersion)
 	}
 	rounds := md.I64()
@@ -249,6 +256,13 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	for i := range counters {
 		counters[i] = md.I64()
 	}
+	tombs := make(map[cluster.JobID]uint64)
+	if v >= 3 {
+		for n := md.Len(16); n > 0; n-- {
+			id := cluster.JobID(md.I64())
+			tombs[id] = md.U64()
+		}
+	}
 	if err := md.Err(); err != nil {
 		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
 	}
@@ -257,9 +271,15 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	if err != nil {
 		return nil, 0, fmt.Errorf("service: snapshot cluster section: %w", err)
 	}
-	cl, err := cluster.DecodeSnapshot(wal.NewDec(cb))
+	cl, retired, err := cluster.DecodeSnapshot(wal.NewDec(cb))
 	if err != nil {
 		return nil, 0, err
+	}
+	// A finished job the decode dropped may still have its submit record at
+	// or above the low-water mark, like any job retired while the mark
+	// trailed. Its record precedes the cut, so the tail bounds it from above.
+	for _, id := range retired {
+		tombs[id] = tail
 	}
 
 	sb, err := wal.ReadSection(r)
@@ -272,11 +292,13 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	}
 
 	s := newServiceWith(cl, sched, opts.Service)
+	s.tombs = tombs
 	s.rounds.Store(rounds)
 	s.placed.Store(counters[0])
 	s.migrated.Store(counters[1])
 	s.preempted.Store(counters[2])
-	s.completed.Store(counters[3])
+	// counters[3] is the completed-task count, which the cluster section
+	// carries as its own counter.
 	s.staleCompletions.Store(counters[4])
 	s.staleMachineOps.Store(counters[5])
 	s.staleDecisions.Store(counters[6])
@@ -314,6 +336,19 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 // from the scheduling goroutine (between rounds) or after it has exited.
 func (s *Service) saveSnapshot() error {
 	lw := s.jrn.lowWater()
+	// Replay from this snapshot starts at lw, and later snapshots start no
+	// earlier (the mark only advances), so a tombstone whose mark — an
+	// upper bound on its job's submit sequence — lies below lw can never
+	// meet its submit record again.
+	live := make([]cluster.JobID, 0, len(s.tombs))
+	for id, mark := range s.tombs {
+		if mark < lw {
+			delete(s.tombs, id)
+		} else {
+			live = append(live, id)
+		}
+	}
+	slices.Sort(live)
 	var meta wal.Enc
 	meta.U32(snapMetaVersion)
 	meta.I64(s.rounds.Load())
@@ -321,7 +356,7 @@ func (s *Service) saveSnapshot() error {
 	meta.I64(s.placed.Load())
 	meta.I64(s.migrated.Load())
 	meta.I64(s.preempted.Load())
-	meta.I64(s.completed.Load())
+	meta.I64(int64(s.cl.NumCompleted())) // restore reads the cluster section's counter
 	meta.I64(s.staleCompletions.Load())
 	meta.I64(s.staleMachineOps.Load())
 	meta.I64(s.staleDecisions.Load())
@@ -331,6 +366,11 @@ func (s *Service) saveSnapshot() error {
 	meta.I64(s.templateHits.Load())
 	meta.I64(s.templateMisses.Load())
 	meta.I64(s.templateInvals.Load())
+	meta.U32(uint32(len(live)))
+	for _, id := range live {
+		meta.I64(int64(id))
+		meta.U64(s.tombs[id])
+	}
 	_, err := s.jrn.log.SaveSnapshot(lw, func(w io.Writer) error {
 		if err := wal.WriteSection(w, meta.B); err != nil {
 			return err
@@ -389,9 +429,10 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 			}
 			cand = append(cand, id)
 			// A fuzzy snapshot may already hold the job (its registration
-			// finished before the cluster section was encoded); replay only
-			// what it missed.
-			if s.cl.Job(id) == nil {
+			// finished before the cluster section was encoded), or may have
+			// retired it (it completed before the cut while the low-water
+			// mark trailed its record); replay only what it missed.
+			if _, retired := s.tombs[id]; !retired && s.cl.Job(id) == nil {
 				s.cl.SubmitJobWithID(id, class, prio, at, specs)
 			}
 		case recIntent:
@@ -454,10 +495,11 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 	}
 
 	// The submission counter is front-door-owned and therefore not captured
-	// consistently by a fuzzy snapshot; every task ever submitted is in
-	// exactly one lifecycle state, so the cluster tables recompute it.
-	p, r, c, f := s.cl.CountStates()
-	s.submitted.Store(int64(p + r + c + f))
+	// consistently by a fuzzy snapshot; every task ever submitted is either
+	// live (pending or running) or counted completed, so the cluster
+	// recomputes it.
+	p, r, c := s.cl.CountStates()
+	s.submitted.Store(int64(p + r + c))
 
 	// Resume the virtual clock strictly after every recorded timestamp so
 	// restored lifecycle times stay monotonic across the restart.
@@ -479,7 +521,7 @@ func (s *Service) replayRound(rr *roundRecord) error {
 			if err = s.cl.Complete(eo.task, now); err != nil {
 				s.staleCompletions.Add(1)
 			} else {
-				s.completed.Add(1)
+				s.noteRetired(eo.task)
 			}
 		case opRemoveMachine:
 			if err = s.cl.RemoveMachine(eo.machine, now); err != nil {
@@ -568,6 +610,23 @@ func (s *Service) replayRound(rr *roundRecord) error {
 	s.staleDecisions.Add(int64(rr.staleDecisions))
 	s.unscheduled.Add(int64(rr.unscheduled))
 	return nil
+}
+
+// noteRetired tombstones the job of a just-completed task if the
+// completion retired it and the service journals. The job's submit record
+// may lie at or above the low-water mark of the next snapshot (held back
+// by a stalled submit or an unenacted op); replay from that snapshot finds
+// no record of the job and must not register it anew. The mark is the log
+// tail now — the submit record precedes the completion, so the tail bounds
+// its sequence from above — and saveSnapshot drops the tombstone once the
+// low-water mark passes it.
+func (s *Service) noteRetired(id cluster.TaskID) {
+	if s.jrn == nil {
+		return
+	}
+	if j := cluster.JobOfTask(id); s.cl.Job(j) == nil {
+		s.tombs[j] = s.jrn.log.LastSeq()
+	}
 }
 
 // opShardKey is the ingestion shard selector for an op: completions shard

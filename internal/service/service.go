@@ -218,14 +218,21 @@ type Service struct {
 	closeErr      error
 	syncStop      chan struct{} // SyncBatch fsync pacer shutdown
 	syncDone      chan struct{}
+	// tombs maps each job retired while its submit record might still lie
+	// in a future snapshot's replay window to the log tail at retirement
+	// (see noteRetired). Loop-owned; nil when not durable.
+	tombs map[cluster.JobID]uint64
 
 	// Test hooks (nil in production): testHookSubmit runs at the top of
-	// submit, before the close guard; testHookBeforeSchedule runs in
-	// runRound between the op drain and the scheduling computation. Both
-	// widen race windows deterministically for regression tests.
+	// submit, before the close guard; testHookJournaled runs in a durable
+	// submit between the journal append and the job's registration (the
+	// record holds the low-water mark back meanwhile); testHookBeforeSchedule
+	// runs in runRound between the op drain and the scheduling computation.
+	// All widen race windows deterministically for regression tests.
 	// testHookNow replaces the virtual clock (crash-recovery equivalence
 	// tests drive twin services with identical timestamps).
 	testHookSubmit         func()
+	testHookJournaled      func()
 	testHookBeforeSchedule func()
 	testHookNow            func() time.Duration
 
@@ -248,7 +255,6 @@ type Service struct {
 	placed           atomic.Int64
 	migrated         atomic.Int64
 	preempted        atomic.Int64
-	completed        atomic.Int64
 	staleCompletions atomic.Int64
 	staleMachineOps  atomic.Int64
 	staleDecisions   atomic.Int64
@@ -340,6 +346,9 @@ func (s *Service) now() time.Duration {
 func (s *Service) attachJournal(log *wal.Log, dur DurabilityConfig) {
 	s.jrn = newJournal(log)
 	s.dur = dur
+	if s.tombs == nil {
+		s.tombs = make(map[cluster.JobID]uint64)
+	}
 	s.sched.GraphManager().EventTap = func(b []cluster.Event) {
 		cp := make([]cluster.Event, len(b))
 		copy(cp, b)
@@ -477,6 +486,9 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 		s.submitted.Add(int64(len(specs)))
 		s.wake()
 		return job, nil
+	}
+	if s.testHookJournaled != nil {
+		s.testHookJournaled()
 	}
 	job := s.cl.SubmitJobWithID(id, class, priority, now, specs)
 	s.jrn.releaseSubmit(seq)
@@ -835,7 +847,7 @@ func (s *Service) runRound() (progress bool, err error) {
 				s.staleCompletions.Add(1)
 				stale = true
 			} else {
-				s.completed.Add(1)
+				s.noteRetired(o.task)
 			}
 		case opRemoveMachine:
 			// A machine op can go stale the same way a completion can: a
@@ -1157,7 +1169,7 @@ func (s *Service) Stats() Stats {
 		Placed:                s.placed.Load(),
 		Migrated:              s.migrated.Load(),
 		Preempted:             s.preempted.Load(),
-		Completed:             s.completed.Load(),
+		Completed:             int64(s.cl.NumCompleted()),
 		StaleCompletions:      s.staleCompletions.Load(),
 		StaleMachineOps:       s.staleMachineOps.Load(),
 		StaleDecisions:        s.staleDecisions.Load(),

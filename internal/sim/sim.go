@@ -491,7 +491,10 @@ func (s *Sim) handleComputeDone(id cluster.TaskID, epoch int64) {
 }
 
 func (s *Sim) completeTask(id cluster.TaskID) {
+	// Complete retires both records; take them first. A job record that
+	// vanishes with this completion marks the job done.
 	t := s.env.Cluster.Task(id)
+	job := s.env.Cluster.Job(t.Job)
 	st := s.taskState[id]
 	if st.hasFlow {
 		s.advanceFabric()
@@ -508,8 +511,7 @@ func (s *Sim) completeTask(id cluster.TaskID) {
 		if t.SubmitTime >= s.cfg.WarmupCut {
 			s.results.ResponseTime.AddDuration(s.now - t.SubmitTime)
 		}
-		if s.env.Cluster.JobDone(t.Job) {
-			job := s.env.Cluster.Job(t.Job)
+		if s.env.Cluster.Job(t.Job) == nil {
 			if job.SubmitTime >= s.cfg.WarmupCut {
 				s.results.JobResponseTime.AddDuration(s.now - job.SubmitTime)
 			}
