@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -231,8 +230,6 @@ func main() {
 			"cut a cluster+graph snapshot every N rounds (0 = default 1024)")
 		replay = flag.String("replay", "",
 			"restore a recorded journal directory, report the recovered state, and exit")
-		solverPar = flag.Int("solver-parallelism", runtime.GOMAXPROCS(0),
-			"worker goroutines per MCMF solve (1 = strictly sequential, bit-deterministic)")
 		templates = flag.Bool("templates", false,
 			"enable the placement-template fast path: cache solver decisions for recurring job shapes "+
 				"and commit repeats without a solve")
@@ -274,7 +271,6 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 	cfg.Mode = m
-	cfg.SolverParallelism = *solverPar
 	scfg := firmament.ServiceConfig{
 		RoundInterval:    *interval,
 		MaxPendingFactor: *pendingFac,

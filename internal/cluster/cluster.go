@@ -511,6 +511,27 @@ func (c *Cluster) SubmitJobWithID(id JobID, class JobClass, priority int, now ti
 	return job
 }
 
+// RequeueSubmitted emits EventTaskSubmitted again for every pending task
+// of job id, as SubmitJobWithID did when it registered them. Crash
+// recovery uses it for a replay-registered job whose submission events a
+// replayed round discarded before any recorded batch folded them. An
+// unknown job is a no-op.
+func (c *Cluster) RequeueSubmitted(id JobID) {
+	sh := c.jobShard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	job := sh.jobs[id]
+	if job == nil {
+		return
+	}
+	for _, tid := range job.Tasks {
+		if t := sh.tasks[tid]; t != nil && t.State == TaskPending {
+			sh.events = append(sh.events, Event{Kind: EventTaskSubmitted, Task: tid, Time: t.SubmitTime})
+			c.numEvents.Add(1)
+		}
+	}
+}
+
 // TaskSpec describes one task at submission.
 type TaskSpec struct {
 	Duration  time.Duration

@@ -12,8 +12,9 @@ import (
 type Config struct {
 	// Mode selects the solver configuration (default ModeFirmament).
 	Mode SolverMode
-	// Alpha is the cost scaling epsilon divisor; the paper found 9 about
-	// 30% faster than the default 2 on the Google workload (§7.2).
+	// Alpha is the cost scaling epsilon divisor. Zero selects the mcmf
+	// default of 12; DefaultConfig uses 9, which the paper found about 30%
+	// faster than alpha=2 on the Google workload (§7.2).
 	Alpha int64
 	// ArcPrioritization enables the relaxation heuristic of §5.3.1.
 	ArcPrioritization bool
@@ -22,11 +23,6 @@ type Config struct {
 	TaskRemovalHeuristic bool
 	// PriceRefine enables the §6.2 relaxation→cost-scaling state transfer.
 	PriceRefine bool
-	// SolverParallelism caps the worker goroutines a single solve may use
-	// for its internal parallel phases (forwarded to mcmf.Options). Zero or
-	// one keeps every solve on the strictly sequential, bit-deterministic
-	// code path.
-	SolverParallelism int
 }
 
 // DefaultConfig is Firmament's production configuration: both algorithms
@@ -59,7 +55,6 @@ func NewScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config) *Sche
 	pool.PriceRefine = cfg.PriceRefine
 	pool.Options.Alpha = cfg.Alpha
 	pool.Options.ArcPrioritization = cfg.ArcPrioritization
-	pool.Options.Parallelism = cfg.SolverParallelism
 	return &Scheduler{cl: cl, gm: gm, pool: pool, cfg: cfg}
 }
 

@@ -403,7 +403,8 @@ func (s *Service) saveSnapshot() error {
 // scheduling pipeline — recorded ops applied at the recorded virtual time,
 // the recorded event batches folded into the (warm) flow network with an
 // incremental re-solve, and the journaled decisions force-applied. Intents
-// no round consumed are re-queued for the first live round.
+// no round consumed are re-queued for the first live round, and so are the
+// submission events of jobs whose registration the live run never reached.
 //
 //firmament:journaled replay consumes the journal: every registration here re-derives an already-durable record
 func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info *RestoreInfo) error {
@@ -415,6 +416,14 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 	// submitted after the last journaled round — exactly the jobs whose
 	// admission attempt the crash stole — and is re-queued below.
 	var cand []cluster.JobID
+	// queued holds the jobs replay registered since the last replayed
+	// round, their submission events still on the shard journals. A
+	// replayed round discards those events and folds only its recorded
+	// batches, so its queued jobs move to lost until a recorded batch
+	// carries their submission. A job still lost at the end was journaled
+	// but not yet registered when the process died: no live round ever
+	// drained it, and without a re-queue the graph would never see it.
+	var queued, lost []cluster.JobID
 	err := s.jrn.log.Replay(lw, func(seq uint64, payload []byte) error {
 		d := wal.NewDec(payload)
 		switch k := d.U8(); k {
@@ -434,6 +443,7 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 			// mark trailed its record); replay only what it missed.
 			if _, retired := s.tombs[id]; !retired && s.cl.Job(id) == nil {
 				s.cl.SubmitJobWithID(id, class, prio, at, specs)
+				queued = append(queued, id)
 			}
 		case recIntent:
 			o := decodeIntentRecord(d)
@@ -465,6 +475,12 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 				return err
 			}
 			info.ReplayedRounds++
+			lost = append(lost, queued...)
+			queued = queued[:0]
+			if len(lost) > 0 {
+				folded := submittedJobs(rr.batches)
+				lost = slices.DeleteFunc(lost, func(id cluster.JobID) bool { return folded[id] })
+			}
 		default:
 			return fmt.Errorf("unknown journal record kind %d at seq %d", k, seq)
 		}
@@ -487,10 +503,14 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 		s.opsQueued.Add(1)
 	}
 	info.PendingOps = len(seqs)
+	for _, id := range lost {
+		s.cl.RequeueSubmitted(id)
+	}
 
-	// Give the jobs the crash robbed of their admission attempt one on the
-	// first post-restore round, like any freshly submitted job.
-	for _, id := range cand {
+	// Give the jobs the crash robbed of their admission attempt (the lost
+	// ones, then those submitted after the last journaled round) one on
+	// the first post-restore round, like any freshly submitted job.
+	for _, id := range append(lost, cand...) {
 		s.noteTemplateCandidate(id)
 	}
 
@@ -610,6 +630,20 @@ func (s *Service) replayRound(rr *roundRecord) error {
 	s.staleDecisions.Add(int64(rr.staleDecisions))
 	s.unscheduled.Add(int64(rr.unscheduled))
 	return nil
+}
+
+// submittedJobs returns the jobs whose submission events the recorded
+// batches carry.
+func submittedJobs(batches [][]cluster.Event) map[cluster.JobID]bool {
+	jobs := make(map[cluster.JobID]bool)
+	for _, b := range batches {
+		for _, ev := range b {
+			if ev.Kind == cluster.EventTaskSubmitted {
+				jobs[cluster.JobOfTask(ev.Task)] = true
+			}
+		}
+	}
+	return jobs
 }
 
 // noteRetired tombstones the job of a just-completed task if the

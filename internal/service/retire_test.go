@@ -56,9 +56,13 @@ func stallJournaled(t *testing.T, s *Service) (release func() *cluster.Job) {
 // low-water mark below a second job's submit record while that job is
 // placed, completed and retired, and a snapshot is cut at round 4. The
 // stalled submit then finishes and one more round leaves a tail past the
-// snapshot. The durable service is abandoned without a graceful close (a
-// crash); its journal directory, the twin and both jobs are returned.
-func retireBehindStalledSubmit(t *testing.T, clock *time.Duration) (dir string, twin *Service, retired, stalled cluster.JobID) {
+// snapshot. With crashStalled, that round runs first and the durable
+// service's stalled submit never registers: the crash strikes between its
+// journal append and its registration, while the twin's submit finishes
+// after the round. The durable service is abandoned without a graceful
+// close (a crash); its journal directory, the twin and both jobs are
+// returned.
+func retireBehindStalledSubmit(t *testing.T, clock *time.Duration, crashStalled bool) (dir string, twin *Service, retired, stalled cluster.JobID) {
 	t.Helper()
 	dir = t.TempDir()
 	a, _ := manualDurable(t, dir, clock)
@@ -101,25 +105,41 @@ func retireBehindStalledSubmit(t *testing.T, clock *time.Duration) (dir string, 
 		t.Fatalf("job %d retired while the low-water mark trailed its record, but carries no tombstone", retired)
 	}
 
+	round := func() {
+		t.Helper()
+		for _, s := range []*Service{a, b} {
+			*clock = 10 * time.Millisecond
+			if _, err := s.runRound(); err != nil {
+				t.Fatalf("runRound: %v", err)
+			}
+		}
+	}
+	if crashStalled {
+		// One journaled round past the cut, then the twin's submit
+		// registers; the durable one stays parked until the test ends.
+		round()
+		t.Cleanup(func() { releaseA() })
+		stalledB := releaseB()
+		if stalledB == nil {
+			t.Fatal("twin's stalled submit failed")
+		}
+		return dir, b, retired, stalledB.ID
+	}
 	// The stalled submits finish after the cut; one more journaled round
 	// places them, leaving a tail past the snapshot to replay.
 	stalledA, stalledB := releaseA(), releaseB()
 	if stalledA == nil || stalledB == nil || stalledA.ID != stalledB.ID {
 		t.Fatalf("stalled submits registered %v and %v", stalledA, stalledB)
 	}
-	for _, s := range []*Service{a, b} {
-		*clock = 10 * time.Millisecond
-		if _, err := s.runRound(); err != nil {
-			t.Fatalf("runRound: %v", err)
-		}
-	}
+	round()
 	return dir, b, retired, stalledA.ID
 }
 
 // restoreLikeTwin restores the crashed service in dir and requires that
 // the retired job stayed retired, the stalled job survived, and counters
-// and cluster and scheduler state equal the never-crashed twin.
-func restoreLikeTwin(t *testing.T, dir string, clock *time.Duration, twin *Service, retired, stalled cluster.JobID) {
+// and cluster and scheduler state equal the never-crashed twin. It returns
+// the restored service.
+func restoreLikeTwin(t *testing.T, dir string, clock *time.Duration, twin *Service, retired, stalled cluster.JobID) *Service {
 	t.Helper()
 	a2, info := manualDurable(t, dir, clock)
 	if !info.Restored || info.SnapshotRound != 4 || info.ReplayedRounds != 1 {
@@ -146,6 +166,7 @@ func restoreLikeTwin(t *testing.T, dir string, clock *time.Duration, twin *Servi
 	if a2.sched.Fingerprint() != twin.sched.Fingerprint() {
 		t.Fatal("restored scheduler differs from the never-crashed twin")
 	}
+	return a2
 }
 
 // TestRetiredJobNotResurrected is the regression test for replaying the
@@ -157,7 +178,7 @@ func restoreLikeTwin(t *testing.T, dir string, clock *time.Duration, twin *Servi
 // The restored service must equal a twin that never crashed.
 func TestRetiredJobNotResurrected(t *testing.T) {
 	var clock time.Duration
-	dir, twin, retired, stalled := retireBehindStalledSubmit(t, &clock)
+	dir, twin, retired, stalled := retireBehindStalledSubmit(t, &clock, false)
 	restoreLikeTwin(t, dir, &clock, twin, retired, stalled)
 }
 
@@ -168,9 +189,39 @@ func TestRetiredJobNotResurrected(t *testing.T) {
 // job, so restore must tombstone it or replay registers it again.
 func TestLegacySnapshotRetiredJobNotResurrected(t *testing.T) {
 	var clock time.Duration
-	dir, twin, retired, stalled := retireBehindStalledSubmit(t, &clock)
+	dir, twin, retired, stalled := retireBehindStalledSubmit(t, &clock, false)
 	downgradeSnapshot(t, dir, map[cluster.JobID]int{retired: 1})
 	restoreLikeTwin(t, dir, &clock, twin, retired, stalled)
+}
+
+// TestUnregisteredSubmitScheduledAfterReplay is the regression test for a
+// submit whose journal record was appended but whose registration had not
+// run when the process died, while a later round was journaled. Replay
+// registers the job from its record, and the replayed round then discards
+// its submission events along with every other re-queued event, because
+// the recorded batches are the truth for the graph. Without a re-queue
+// after replay the job stays pending in the tables and the graph never
+// sees it. The restored service must equal the twin, whose submit
+// finished after that round, and place the job within a few rounds.
+func TestUnregisteredSubmitScheduledAfterReplay(t *testing.T) {
+	var clock time.Duration
+	dir, twin, retired, stalled := retireBehindStalledSubmit(t, &clock, true)
+	s := restoreLikeTwin(t, dir, &clock, twin, retired, stalled)
+	task := s.cl.Job(stalled).Tasks[0]
+	for r := 0; r < 3 && s.cl.Task(task).State != cluster.TaskRunning; r++ {
+		clock += time.Millisecond
+		if _, err := s.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+	if st := s.cl.Task(task).State; st != cluster.TaskRunning {
+		t.Fatalf("stalled job's task is %v after three post-restore rounds, want running", st)
+	}
+	st := s.Stats()
+	if st.Submitted != st.Pending+st.Running+st.Completed {
+		t.Fatalf("submitted %d != pending %d + running %d + completed %d",
+			st.Submitted, st.Pending, st.Running, st.Completed)
+	}
 }
 
 // downgradeSnapshot rewrites the newest snapshot in dir into the layout
