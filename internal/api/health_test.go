@@ -166,8 +166,9 @@ func TestAPIHealthzFailStop(t *testing.T) {
 }
 
 // TestStatsWireFieldNames pins the wire spelling of the fault-tolerance
-// additions: the drop counter travels as watch_dropped, and the WAL
-// counters and health fields are present.
+// additions (the drop counter travels as watch_dropped, and the WAL
+// counters and health fields are present) and of the five distribution
+// summaries with their subfields.
 func TestStatsWireFieldNames(t *testing.T) {
 	b, err := json.Marshal(Stats{WatchDropped: 7, WALRearms: 1, Health: "ok"})
 	if err != nil {
@@ -181,5 +182,11 @@ func TestStatsWireFieldNames(t *testing.T) {
 	}
 	if strings.Contains(s, "dropped_publications") {
 		t.Fatalf("stats wire form still carries the old dropped_publications key: %s", s)
+	}
+	for _, dist := range []string{"queue_depth", "batch_size", "algorithm_runtime", "round_time", "placement_latency"} {
+		key := `"` + dist + `":{"n":0,"mean":0,"p50":0,"p99":0,"max":0}`
+		if !strings.Contains(s, key) {
+			t.Fatalf("stats wire form missing %s: %s", key, s)
+		}
 	}
 }

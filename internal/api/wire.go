@@ -6,7 +6,6 @@ import (
 
 	"firmament/internal/cluster"
 	"firmament/internal/core"
-	"firmament/internal/metrics"
 	"firmament/internal/service"
 )
 
@@ -118,6 +117,9 @@ func (p Placement) toService() (service.Placement, error) {
 
 // DistSummary is the wire summary of a sample distribution; values carry
 // the distribution's native unit (seconds for the timing distributions).
+// The summaries in Stats are cumulative since the service started. N, Mean
+// and Max are exact; P50 and P99 are histogram bucket estimates, within
+// metrics.HistRelErr (1/32) relative error of a sample of that rank.
 type DistSummary struct {
 	N    int     `json:"n"`
 	Mean float64 `json:"mean"`
@@ -126,7 +128,16 @@ type DistSummary struct {
 	Max  float64 `json:"max"`
 }
 
-func summarize(d *metrics.Dist) DistSummary {
+// distribution is what a summary reads; metrics.Dist and
+// metrics.HistSnapshot both provide it.
+type distribution interface {
+	N() int
+	Mean() float64
+	Percentile(p float64) float64
+	Max() float64
+}
+
+func summarize(d distribution) DistSummary {
 	return DistSummary{
 		N:    d.N(),
 		Mean: d.Mean(),
@@ -223,7 +234,7 @@ func StatsFromService(st service.Stats) Stats {
 		QueueDepth:            summarize(st.QueueDepth),
 		BatchSize:             summarize(st.BatchSize),
 		AlgorithmRuntime:      summarize(st.AlgorithmRuntime),
-		RoundTime:             summarize(st.RoundTime),
+		RoundTime:             summarize(st.RoundTimeHist),
 		PlacementLatency:      summarize(st.PlacementLatency),
 	}
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,32 +150,5 @@ func TestDistClone(t *testing.T) {
 	}
 	if c.Max() != 99 || d.Max() != 2 {
 		t.Fatalf("clone values wrong: max %v/%v", c.Max(), d.Max())
-	}
-}
-
-func TestSyncDistConcurrentAdd(t *testing.T) {
-	var sd SyncDist
-	const workers = 8
-	const each = 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				sd.Add(float64(i))
-				if i%100 == 0 {
-					sd.Snapshot().Median() // readers interleave with writers
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if sd.N() != workers*each {
-		t.Fatalf("N = %d, want %d", sd.N(), workers*each)
-	}
-	snap := sd.Snapshot()
-	if snap.Min() != 0 || snap.Max() != each-1 {
-		t.Fatalf("snapshot range [%v, %v], want [0, %d]", snap.Min(), snap.Max(), each-1)
 	}
 }

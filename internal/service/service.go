@@ -27,7 +27,8 @@
 // lock at all — an arbitrarily long solve never blocks a submitter. The
 // loop publishes every enacted decision to Watch subscribers and
 // accumulates per-round metrics (queue depth, batch size, algorithm
-// runtime, placement latency percentiles) via internal/metrics.
+// runtime, placement latency percentiles) in fixed-size histograms from
+// internal/metrics, so their memory does not grow with uptime.
 //
 // # Backpressure
 //
@@ -274,12 +275,20 @@ type Service struct {
 	// when the policy does not implement template.Signer). See template.go.
 	tmpl *tmplState
 
-	queueDepth       metrics.SyncDist
-	batchSize        metrics.SyncDist
-	algoRuntime      metrics.SyncDist
-	roundTime        metrics.SyncDist
-	placementLatency metrics.SyncDist
+	recentRounds *metrics.Window // the last roundWindow round times
+
+	// The pointer-free histograms come last, so the garbage collector's
+	// scan of the Service ends before their ~80 KiB of counters.
+	queueDepth       metrics.Hist
+	batchSize        metrics.Hist
+	algoRuntime      metrics.Hist
+	roundTime        metrics.Hist
+	placementLatency metrics.Hist
 }
+
+// roundWindow is how many of the latest round times Stats.RoundTime holds
+// exactly. At the 1 ms round-pacing floor it spans over a minute.
+const roundWindow = 1 << 16
 
 // New builds a scheduling service over cl with the given policy and solver
 // configuration and starts its scheduling loop. Call Close to stop it.
@@ -316,6 +325,8 @@ func newServiceWith(cl *cluster.Cluster, sched *core.Scheduler, cfg Config) *Ser
 		subs:     make(map[int]chan Placement),
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
+
+		recentRounds: metrics.NewWindow(roundWindow),
 	}
 	for i := range s.opShards {
 		s.opShards[i] = &opShard{}
@@ -1005,7 +1016,9 @@ func (s *Service) runRound() (progress bool, err error) {
 
 	// Queue depth: events that accumulated while this round was in flight.
 	s.queueDepth.Add(float64(s.cl.NumQueuedEvents()))
-	s.roundTime.AddDuration(time.Since(t0))
+	roundTime := time.Since(t0)
+	s.roundTime.AddDuration(roundTime)
+	s.recentRounds.AddDuration(roundTime)
 	return batchEvents > 0 || len(decisions) > 0, nil
 }
 
@@ -1135,27 +1148,36 @@ type Stats struct {
 
 	// QueueDepth samples the cluster event backlog at each round end;
 	// BatchSize the events folded into each round's graph update.
-	QueueDepth *metrics.Dist
-	BatchSize  *metrics.Dist
+	QueueDepth *metrics.HistSnapshot
+	BatchSize  *metrics.HistSnapshot
 	// AlgorithmRuntime is the winning solver's runtime per round.
-	AlgorithmRuntime *metrics.Dist
-	// RoundTime is the full round wall time (drain + update + solve +
-	// extract + apply + publish).
-	RoundTime *metrics.Dist
+	AlgorithmRuntime *metrics.HistSnapshot
+	// RoundTimeHist is the full round wall time (drain + update + solve +
+	// extract + apply + publish) of every round; RoundTime holds the exact
+	// wall times of the most recent 65,536 rounds.
+	RoundTimeHist *metrics.HistSnapshot
+	RoundTime     *metrics.Dist
 	// PlacementLatency is submission → placement per task.
-	PlacementLatency *metrics.Dist
+	PlacementLatency *metrics.HistSnapshot
 }
 
 // Stale returns the two staleness counters summed — the pre-split figure,
 // kept for dashboards that want one staleness number.
 func (st Stats) Stale() int64 { return st.StaleCompletions + st.StaleDecisions }
 
-// Stats returns a consistent snapshot; safe to call from any goroutine.
 // Cluster returns the cluster state the service schedules over. Open and
 // Replay construct or restore the cluster internally, so this is how their
 // callers reach it.
 func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 
+// Stats returns a snapshot of the service's counters and statistics; safe
+// to call from any goroutine, including while rounds run. Each counter is
+// read atomically, but the counters are not read as one cut: a round that
+// ends during the call may show in some of them and not others. The
+// histograms are cumulative since the service started; RoundTime is the
+// window of the most recent 65,536 rounds. The call's cost is bounded: it
+// copies fixed-size histograms and that window, however many placements
+// the service has made.
 func (s *Service) Stats() Stats {
 	h := s.Health()
 	return Stats{
@@ -1186,7 +1208,8 @@ func (s *Service) Stats() Stats {
 		QueueDepth:            s.queueDepth.Snapshot(),
 		BatchSize:             s.batchSize.Snapshot(),
 		AlgorithmRuntime:      s.algoRuntime.Snapshot(),
-		RoundTime:             s.roundTime.Snapshot(),
+		RoundTimeHist:         s.roundTime.Snapshot(),
+		RoundTime:             s.recentRounds.Snapshot(),
 		PlacementLatency:      s.placementLatency.Snapshot(),
 	}
 }
