@@ -38,7 +38,7 @@ type tmplState struct {
 	// Loop-owned scratch, reset each round.
 	cand      []cluster.JobID // drained candidate buffer (recycled)
 	missCand  []cluster.JobID // candidates that missed, for post-solve recording
-	profile   []template.Slot
+	profile   []template.Run
 	decisions []core.Decision      // hit-path placements (journal image)
 	inserts   []*template.Template // templates recorded this round
 	drops     []uint64             // fingerprints invalidated this round
@@ -47,10 +47,11 @@ type tmplState struct {
 	invals    uint32
 
 	// Recording scratch: the per-machine occupancy baseline captured just
-	// before the round's apply, advanced by each placed decision so that a
-	// candidate's first placement sees the profile a future admission of
-	// the same job shape would see.
-	occ     map[cluster.MachineID]int32
+	// before the round's apply, indexed by MachineID (IDs are dense), and
+	// advanced by each placed decision so that a candidate's first
+	// placement sees the profile a future admission of the same job shape
+	// would see.
+	occ     []int32
 	applied []core.Decision // placed decisions in apply (task-ID) order
 }
 
@@ -73,13 +74,12 @@ func (tp *tmplState) invalidateMachine(m cluster.MachineID) {
 }
 
 // captureOccupancy snapshots per-machine running counts as the recording
-// baseline.
+// baseline. Machines visits in ID order and IDs are dense indices, so
+// appending leaves each machine's count at occ[ID].
 func (tp *tmplState) captureOccupancy(cl *cluster.Cluster) {
-	for k := range tp.occ {
-		delete(tp.occ, k)
-	}
+	tp.occ = tp.occ[:0]
 	cl.Machines(func(m *cluster.Machine) {
-		tp.occ[m.ID] = int32(m.Running())
+		tp.occ = append(tp.occ, int32(m.Running()))
 	})
 }
 
@@ -94,7 +94,6 @@ func newTmplState(model interface{}, capacity int) *tmplState {
 	return &tmplState{
 		cache: template.NewCache(capacity),
 		sig:   signer.TemplateSignature(),
-		occ:   make(map[cluster.MachineID]int32),
 	}
 }
 
@@ -212,18 +211,19 @@ func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, e
 	return placements, nil
 }
 
-// simulatedProfile builds the occupancy profile from the recording
-// baseline (live health and slots, simulated running counts).
-func (s *Service) simulatedProfile() []template.Slot {
+// simulatedProfile builds the run-list occupancy profile from the
+// recording baseline (live health and slots, simulated running counts).
+func (s *Service) simulatedProfile() []template.Run {
 	tp := s.tmpl
 	tp.profile = tp.profile[:0]
 	s.cl.Machines(func(m *cluster.Machine) {
 		if !m.Healthy() {
 			return
 		}
-		tp.profile = append(tp.profile, template.Slot{Running: tp.occ[m.ID], Slots: int32(m.Slots)})
+		tp.profile = append(tp.profile, template.Run{
+			Slot: template.Slot{Running: tp.occ[m.ID], Slots: int32(m.Slots)}, N: 1})
 	})
-	template.SortProfile(tp.profile)
+	tp.profile = template.Canonicalize(tp.profile)
 	return tp.profile
 }
 
@@ -242,7 +242,7 @@ func (s *Service) recordTemplates(drainNow time.Duration) {
 		job     *cluster.Job
 		shape   template.Shape
 		fp      uint64
-		profile []template.Slot
+		profile []template.Run
 		assign  []template.Assignment
 		seen    bool
 		ok      bool
@@ -262,7 +262,7 @@ func (s *Service) recordTemplates(drainNow time.Duration) {
 			if shape, ok := template.JobShape(s.cl, r.job, tp.sig, wait); ok {
 				r.shape = shape
 				r.fp = template.Fingerprint(shape, prof)
-				r.profile = append([]template.Slot(nil), prof...)
+				r.profile = slices.Clone(prof)
 				r.ok = true
 			}
 		}

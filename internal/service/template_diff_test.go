@@ -8,6 +8,7 @@ import (
 	"firmament/internal/cluster"
 	"firmament/internal/core"
 	"firmament/internal/policy"
+	"firmament/internal/template"
 )
 
 // manualTemplateService is manualService with the template fast path on.
@@ -103,6 +104,75 @@ func TestTemplateHitPathSmoke(t *testing.T) {
 	}
 	if st = s.Stats(); st.TemplateMisses != 2 {
 		t.Fatalf("distinguishable shape must miss: misses = %d, want 2", st.TemplateMisses)
+	}
+}
+
+// TestRecordedTemplateKeepsRunList: a template recorded by a miss keeps
+// its occupancy profile as a run list clipped to the runs, not a copy of
+// the per-machine profile. On a 256-machine, 12-slot cluster that is at
+// most 13 runs whatever the occupancy, and the runs still cover every
+// healthy machine and hash to the recorded fingerprint.
+func TestRecordedTemplateKeepsRunList(t *testing.T) {
+	const machines, slots = 256, 12
+	var clock time.Duration
+	s := manualTemplateService(cluster.Topology{Racks: 8, MachinesPerRack: machines / 8, SlotsPerMachine: slots}, &clock)
+	rng := rand.New(rand.NewSource(1))
+
+	// Fill about half the slots, then retire a random third of the running
+	// tasks so occupancy varies across machines.
+	var running []cluster.TaskID
+	for j := 0; j < 12; j++ {
+		specs := make([]cluster.TaskSpec, 50+rng.Intn(200))
+		for i := range specs {
+			specs[i].Duration = time.Duration(1+j) * time.Second
+		}
+		job, err := s.Submit(cluster.Batch, 0, specs)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		running = append(running, job.Tasks...)
+		clock += time.Millisecond
+		if _, err := s.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+	for _, tid := range running {
+		if rng.Intn(3) == 0 {
+			if err := s.Complete(tid); err != nil {
+				t.Fatalf("Complete: %v", err)
+			}
+		}
+	}
+	if _, err := s.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 40)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	clock += time.Millisecond
+	if _, err := s.runRound(); err != nil {
+		t.Fatalf("runRound: %v", err)
+	}
+	if st := s.Stats(); st.TemplateMisses != 13 || s.TemplateCacheLen() != 13 {
+		t.Fatalf("misses %d, cached %d: want every job recorded by its miss", st.TemplateMisses, s.TemplateCacheLen())
+	}
+
+	maxRuns := 0
+	s.tmpl.cache.Range(func(tp *template.Template) {
+		if len(tp.Profile) > slots+1 || cap(tp.Profile) > slots+1 {
+			t.Errorf("template %x keeps %d runs (capacity %d), want at most %d", tp.FP, len(tp.Profile), cap(tp.Profile), slots+1)
+		}
+		covered := int32(0)
+		for _, r := range tp.Profile {
+			covered += r.N
+		}
+		if covered != machines {
+			t.Errorf("template %x profile covers %d machines, want %d", tp.FP, covered, machines)
+		}
+		if template.Fingerprint(tp.Shape, tp.Profile) != tp.FP {
+			t.Errorf("template %x profile does not hash to its fingerprint", tp.FP)
+		}
+		maxRuns = max(maxRuns, len(tp.Profile))
+	})
+	if maxRuns < 3 {
+		t.Fatalf("largest recorded profile has %d runs; the test needs varied occupancy", maxRuns)
 	}
 }
 

@@ -1,6 +1,7 @@
 package template
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,15 +43,14 @@ func (st fuzzState) ids() []cluster.MachineID {
 	return ids
 }
 
-func (st fuzzState) profile(buf []Slot) []Slot {
+func (st fuzzState) profile(buf []Run) []Run {
 	buf = buf[:0]
 	for _, m := range st {
 		if m.healthy {
-			buf = append(buf, Slot{Running: m.running, Slots: m.slots})
+			buf = append(buf, Run{Slot: Slot{Running: m.running, Slots: m.slots}, N: 1})
 		}
 	}
-	SortProfile(buf)
-	return buf
+	return Canonicalize(buf)
 }
 
 func (st fuzzState) view(m cluster.MachineID) (running, slots int, healthy bool) {
@@ -113,18 +113,6 @@ func (st fuzzState) oracleValidate(assign []Assignment) bool {
 	return true
 }
 
-func slotsEqual(a, b []Slot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // FuzzTemplateFingerprint drives the template core through random cluster
 // states and mutations and asserts the safety chain a cache hit relies on:
 //
@@ -176,7 +164,7 @@ func FuzzTemplateFingerprint(f *testing.F) {
 		tpl := &Template{
 			FP:      Fingerprint(shapeA, profileA),
 			Shape:   shapeA,
-			Profile: append([]Slot(nil), profileA...),
+			Profile: slices.Clone(profileA),
 			Assign:  assign,
 		}
 		if !st.oracleValidate(tpl.Assign) {
@@ -219,7 +207,18 @@ func FuzzTemplateFingerprint(f *testing.F) {
 		}
 		profileB := st.profile(nil)
 		fpB := Fingerprint(shapeB, profileB)
-		same := shapeB == shapeA && slotsEqual(profileB, profileA)
+		sameProfile := slices.Equal(expand(profileB), expand(profileA))
+		same := shapeB == shapeA && sameProfile
+
+		// Run lists are compared in O(runs); that must agree exactly with
+		// element-wise equality of the per-machine profiles they expand
+		// to, and each fingerprint must equal the per-machine fold.
+		if got := tpl.Matches(shapeA, profileB); got != sameProfile {
+			t.Fatalf("Matches on runs = %v, expanded profiles equal = %v", got, sameProfile)
+		}
+		if got, want := fpB, expandedFingerprint(shapeB, expand(profileB)); got != want {
+			t.Fatalf("run-list fingerprint %x != per-machine fingerprint %x", got, want)
+		}
 
 		if same {
 			if fpB != tpl.FP {

@@ -11,10 +11,11 @@
 // assignment an optimal solve produced, keyed by a fingerprint of
 // everything the cost model could see: the policy's own signature (its
 // tunable parameters), the job's class, priority, wait-cost bucket and
-// per-task workload specs, and the sorted (running, slots) occupancy
-// profile of every healthy machine. On a later submission with the same
-// fingerprint, the cached assignment is re-validated in O(tasks) against
-// live machine state and committed without touching the solver.
+// per-task workload specs, and the (running, slots) occupancy profile of
+// every healthy machine, kept as a sorted run list. On a later submission
+// with the same fingerprint, the cached assignment is re-validated in
+// O(tasks) against live machine state and committed without touching the
+// solver.
 //
 // # Equivalence contract
 //
@@ -31,6 +32,10 @@
 package template
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"firmament/internal/cluster"
 	"firmament/internal/wal"
 )
@@ -67,6 +72,72 @@ type Slot struct {
 	Slots   int32
 }
 
+// word packs the slot into the 64-bit word the fingerprint folds.
+func (s Slot) word() uint64 { return uint64(uint32(s.Running))<<32 | uint64(uint32(s.Slots)) }
+
+// key packs the slot into a word whose unsigned order is the canonical
+// profile order, (Running, Slots) compared as signed integers.
+func (s Slot) key() uint64 { return s.word() ^ (1<<63 | 1<<31) }
+
+// Run is N healthy machines sharing one (running, slots) pair. A profile
+// is a run list: runs in strictly increasing (Running, Slots) order, each
+// with N >= 1 — the run-length form of the sorted per-machine profile. A
+// homogeneous cluster of s-slot machines has at most s+1 runs whatever
+// its size.
+type Run struct {
+	Slot
+	N int32
+}
+
+func compareRuns(a, b Run) int { return cmp.Compare(a.key(), b.key()) }
+
+// Canonicalize sorts runs by (Running, Slots) and merges runs with equal
+// pairs, in place, returning the canonical run list. Callers that build a
+// profile from per-machine state append one N=1 run per machine and
+// canonicalize once, so a profile of M machines costs O(M log M).
+//
+//firmament:hotpath
+func Canonicalize(runs []Run) []Run {
+	slices.SortFunc(runs, compareRuns)
+	out := runs[:0]
+	for _, r := range runs {
+		if n := len(out); n > 0 && out[n-1].Slot == r.Slot {
+			out[n-1].N += r.N
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// profileLen is the number of machines the profile covers.
+//
+//firmament:hotpath
+func profileLen(profile []Run) int64 {
+	n := int64(0)
+	for _, r := range profile {
+		n += int64(r.N)
+	}
+	return n
+}
+
+// foldProfile folds the expanded profile into h: its machine count, then
+// each machine's slot word in sorted order. The value equals a fold over
+// the per-machine sorted slice, so fingerprints do not depend on the run
+// representation.
+//
+//firmament:hotpath
+func foldProfile(h Hash, profile []Run) Hash {
+	h = h.I64(profileLen(profile))
+	for _, r := range profile {
+		w := r.word()
+		for i := int32(0); i < r.N; i++ {
+			h = h.U64(w)
+		}
+	}
+	return h
+}
+
 // Shape is the policy-visible shape of a candidate job: everything except
 // the slot-availability profile that the fingerprint covers.
 type Shape struct {
@@ -93,18 +164,14 @@ func (sh Shape) hash(h Hash) Hash {
 }
 
 // Fingerprint keys a (job shape, slot profile) pair. The profile must be
-// sorted (GatherProfile sorts). The fingerprint is only a cache index: a
-// lookup is confirmed by Template.Matches against the full stored shape
-// and profile, so a 64-bit collision can cost a cache miss, never a wrong
-// placement.
+// a canonical run list (GatherProfile and Canonicalize produce one). The
+// fingerprint is only a cache index: a lookup is confirmed by
+// Template.Matches against the full stored shape and profile, so a 64-bit
+// collision can cost a cache miss, never a wrong placement.
 //
 //firmament:hotpath
-func Fingerprint(sh Shape, profile []Slot) uint64 {
-	h := sh.hash(NewHash()).I64(int64(len(profile)))
-	for _, s := range profile {
-		h = h.U64(uint64(uint32(s.Running))<<32 | uint64(uint32(s.Slots)))
-	}
-	return uint64(h)
+func Fingerprint(sh Shape, profile []Run) uint64 {
+	return uint64(foldProfile(sh.hash(NewHash()), profile))
 }
 
 // JobShape computes the Shape of job as the admission path sees it; ok is
@@ -130,52 +197,25 @@ func JobShape(cl *cluster.Cluster, job *cluster.Job, sig uint64, wait int64) (Sh
 	}, true
 }
 
-// GatherProfile appends the sorted (running, slots) occupancy profile of
-// every healthy machine to buf and returns it. Sorting makes the profile a
-// multiset: two cluster states that are occupancy-permutations of each
-// other fingerprint identically, which is exactly the equivalence class a
-// level-priced policy cannot distinguish.
+// GatherProfile builds the run-list occupancy profile of every healthy
+// machine in buf and returns it. Building it takes one entry of buf per
+// healthy machine, so callers pass the previous result back in to reuse
+// that scratch without allocating. The profile is a multiset: two cluster
+// states that are occupancy-permutations of each other fingerprint
+// identically, which is exactly the equivalence class a level-priced
+// policy cannot distinguish.
 //
 //firmament:hotpath
-func GatherProfile(cl *cluster.Cluster, buf []Slot) []Slot {
+func GatherProfile(cl *cluster.Cluster, buf []Run) []Run {
 	buf = buf[:0]
-	//firmament:ignore hotalloc non-escaping capture: cl.Machines is a leaf iterator, the closure stays on the stack (BenchmarkTemplateHitPath holds 0 allocs/op)
+	//firmament:ignore hotalloc non-escaping capture: cl.Machines is a leaf iterator, the closure stays on the stack (BenchmarkGatherProfile holds 0 allocs/op)
 	cl.Machines(func(m *cluster.Machine) {
 		if !m.Healthy() {
 			return
 		}
-		buf = append(buf, Slot{Running: int32(m.Running()), Slots: int32(m.Slots)})
+		buf = append(buf, Run{Slot: Slot{Running: int32(m.Running()), Slots: int32(m.Slots)}, N: 1})
 	})
-	sortSlots(buf)
-	return buf
-}
-
-// SortProfile orders a profile by (Running, Slots) — the canonical
-// multiset order GatherProfile produces. Callers that build profiles from
-// simulated occupancy (the recording path) sort with it.
-//
-//firmament:hotpath
-func SortProfile(s []Slot) { sortSlots(s) }
-
-// sortSlots orders by (Running, Slots). Profiles are small and nearly
-// sorted round over round; insertion sort avoids sort.Slice's closure
-// allocation on the hit path.
-//
-//firmament:hotpath
-func sortSlots(s []Slot) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && slotLess(s[k], s[k-1]); k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
-}
-
-//firmament:hotpath
-func slotLess(a, b Slot) bool {
-	if a.Running != b.Running {
-		return a.Running < b.Running
-	}
-	return a.Slots < b.Slots
+	return Canonicalize(buf)
 }
 
 // Assignment is one task's cached placement: the destination machine and
@@ -193,25 +233,19 @@ type Assignment struct {
 type Template struct {
 	FP      uint64
 	Shape   Shape
-	Profile []Slot
+	Profile []Run
 	Assign  []Assignment
 }
 
 // Matches reports whether the template was recorded under exactly this
-// shape and profile. A fingerprint hit with a Matches failure is a hash
-// collision between distinguishable states; callers treat it as a miss.
+// shape and profile. Canonical run lists are equal exactly when the
+// expanded per-machine profiles are, so comparing runs is exact and costs
+// O(runs). A fingerprint hit with a Matches failure is a hash collision
+// between distinguishable states; callers treat it as a miss.
 //
 //firmament:hotpath
-func (t *Template) Matches(sh Shape, profile []Slot) bool {
-	if t.Shape != sh || len(t.Profile) != len(profile) {
-		return false
-	}
-	for i, s := range profile {
-		if t.Profile[i] != s {
-			return false
-		}
-	}
-	return true
+func (t *Template) Matches(sh Shape, profile []Run) bool {
+	return t.Shape == sh && slices.Equal(t.Profile, profile)
 }
 
 // Validate is the O(tasks) feasibility check of a cache hit: every
@@ -316,20 +350,22 @@ func (c *Cache) Drop(fp uint64) bool {
 }
 
 // InvalidateMachine drops every template that places a task on m,
-// appending the dropped fingerprints to drops (for journaling) and
-// returning it. Machine removal changes what the recorded assignments
-// mean, so affected templates are invalidated eagerly rather than left to
-// fail validation one by one.
+// appending the dropped fingerprints to drops (for journaling) in FIFO
+// order and returning it. Machine removal changes what the recorded
+// assignments mean, so affected templates are invalidated eagerly rather
+// than left to fail validation one by one. One pass filters the FIFO in
+// place, so a removal costs O(capacity) however many templates it drops.
 func (c *Cache) InvalidateMachine(m cluster.MachineID, drops []uint64) []uint64 {
-	start := len(drops)
+	kept := c.fifo[:0]
 	for _, fp := range c.fifo {
 		if c.entries[fp].Uses(m) {
 			drops = append(drops, fp)
+			delete(c.entries, fp)
+			continue
 		}
+		kept = append(kept, fp)
 	}
-	for _, fp := range drops[start:] {
-		c.Drop(fp)
-	}
+	c.fifo = kept
 	return drops
 }
 
@@ -347,10 +383,7 @@ func (c *Cache) Fingerprint() uint64 {
 	h := NewHash().I64(int64(len(c.fifo)))
 	for _, fp := range c.fifo {
 		t := c.entries[fp]
-		h = t.Shape.hash(h.U64(t.FP)).I64(int64(len(t.Profile)))
-		for _, s := range t.Profile {
-			h = h.U64(uint64(uint32(s.Running))<<32 | uint64(uint32(s.Slots)))
-		}
+		h = foldProfile(t.Shape.hash(h.U64(t.FP)), t.Profile)
 		h = h.I64(int64(len(t.Assign)))
 		for _, as := range t.Assign {
 			h = h.I64(int64(as.Machine)).I64(int64(as.Level))
@@ -361,7 +394,9 @@ func (c *Cache) Fingerprint() uint64 {
 
 // ---- codec (WAL round records and snapshots) ----
 
-// EncodeTemplate appends t's wire image.
+// EncodeTemplate appends t's wire image. The profile goes out expanded,
+// one (running, slots) entry per machine in sorted order, so the image is
+// the one journals and snapshots have always carried.
 func EncodeTemplate(e *wal.Enc, t *Template) {
 	e.U64(t.FP)
 	e.U64(t.Shape.Sig)
@@ -370,10 +405,12 @@ func EncodeTemplate(e *wal.Enc, t *Template) {
 	e.I64(t.Shape.Wait)
 	e.I64(int64(t.Shape.NTasks))
 	e.U64(t.Shape.Specs)
-	e.U32(uint32(len(t.Profile)))
-	for _, s := range t.Profile {
-		e.U32(uint32(s.Running))
-		e.U32(uint32(s.Slots))
+	e.U32(uint32(profileLen(t.Profile)))
+	for _, r := range t.Profile {
+		for i := int32(0); i < r.N; i++ {
+			e.U32(uint32(r.Running))
+			e.U32(uint32(r.Slots))
+		}
 	}
 	e.U32(uint32(len(t.Assign)))
 	for _, as := range t.Assign {
@@ -382,7 +419,10 @@ func EncodeTemplate(e *wal.Enc, t *Template) {
 	}
 }
 
-// DecodeTemplate reads one template; check d.Err afterwards.
+// DecodeTemplate reads one template, compressing the expanded wire profile
+// into runs; check d.Err afterwards. A profile that is not sorted is a
+// decode error: no encoder writes one, and runs built from it would not
+// be canonical, so Matches could never confirm the template.
 func DecodeTemplate(d *wal.Dec) *Template {
 	t := &Template{}
 	t.FP = d.U64()
@@ -393,9 +433,20 @@ func DecodeTemplate(d *wal.Dec) *Template {
 	t.Shape.NTasks = int32(d.I64())
 	t.Shape.Specs = d.U64()
 	np := d.Len(8)
-	t.Profile = make([]Slot, 0, np)
 	for i := 0; i < np; i++ {
-		t.Profile = append(t.Profile, Slot{Running: int32(d.U32()), Slots: int32(d.U32())})
+		s := Slot{Running: int32(d.U32()), Slots: int32(d.U32())}
+		if n := len(t.Profile); n > 0 {
+			last := t.Profile[n-1].Slot
+			if last == s {
+				t.Profile[n-1].N++
+				continue
+			}
+			if last.key() > s.key() {
+				d.Fail(fmt.Errorf("template: profile entry %d out of order", i))
+				break
+			}
+		}
+		t.Profile = append(t.Profile, Run{Slot: s, N: 1})
 	}
 	na := d.Len(12)
 	t.Assign = make([]Assignment, 0, na)

@@ -109,6 +109,15 @@ func (d *Dec) Len(min int) int {
 
 func (d *Dec) Err() error { return d.err }
 
+// Fail latches err as the decode error unless an earlier read already
+// failed. Decoders call it when the bytes parse but break an invariant of
+// the format.
+func (d *Dec) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Remaining reports how many undecoded bytes are left.
 func (d *Dec) Remaining() int { return len(d.b) - d.off }
 

@@ -8,11 +8,13 @@
 #
 # The snapshot records ns/op, B/op and allocs/op for the benchmarks that
 # gate the MCMF hot path (Fig. 3, 7, 11, 14 and the pool's per-round clone)
-# plus journal restore time and the template fast path (hit vs solver on a
-# recurring job), so that later PRs have a perf trajectory to compare
-# against. With FIRMAMENT_BENCH_LARGE set, the 1k/5k-machine Fig 7/11
-# variants are appended (a single iteration each — warming a 5,000-machine
-# cluster takes minutes, so they never run in CI smoke).
+# plus journal restore time, the template fast path (hit vs solver on a
+# recurring job) and the occupancy-profile build template admission runs
+# per candidate job (256, 1k and 12.5k machines), so that later PRs have a
+# perf trajectory to compare against. With FIRMAMENT_BENCH_LARGE set, the
+# 1k/5k-machine Fig 7/11 variants are appended (a single iteration each —
+# warming a 5,000-machine cluster takes minutes, so they never run in CI
+# smoke).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +27,7 @@ go run ./cmd/firmament-vet ./...
 out="${1:-BENCH_PR8.json}"
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-3}"
-pattern='^(BenchmarkFig3QuincyRuntime|BenchmarkFig7Algorithms|BenchmarkFig11Incremental|BenchmarkFig14PlacementLatency|BenchmarkClone|BenchmarkRestore|BenchmarkTemplateHitPath)$'
+pattern='^(BenchmarkFig3QuincyRuntime|BenchmarkFig7Algorithms|BenchmarkFig11Incremental|BenchmarkFig14PlacementLatency|BenchmarkClone|BenchmarkRestore|BenchmarkTemplateHitPath|BenchmarkGatherProfile)$'
 large_pattern='^(BenchmarkFig7Large|BenchmarkFig11Large)$'
 
 tmp="$(mktemp)"
